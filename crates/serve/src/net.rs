@@ -107,6 +107,14 @@
 //! can complete out of submission order (different replicas, different
 //! batches) and carry the request id so the client can match them up.
 //!
+//! Both ends set `TCP_NODELAY`. Frames here are small and pipelined, and
+//! with Nagle's algorithm on, each one waits for the peer's delayed ACK
+//! before it leaves: tens of milliseconds per request. With it off,
+//! batching on the wire comes only from the write calls themselves — the
+//! client writes once per submitted frame, and the server writes once per
+//! connection per poller pass, carrying every reply that completed in
+//! that pass.
+//!
 //! A client that disconnects mid-request only cancels **its own** pending
 //! work: the poller sees the hangup, drops the connection's state, and
 //! the orphaned [`Pending`] handles cancel in the pipeline (recorded as
@@ -918,7 +926,7 @@ impl Poller {
                 }
             }
             while let Ok(stream) = self.reg_rx.try_recv() {
-                if stream.set_nonblocking(true).is_err() {
+                if prepare_accepted(&stream).is_err() {
                     continue; // never registered; the socket just closes
                 }
                 let key = next_token;
@@ -974,14 +982,49 @@ impl Poller {
                 }
             }
         }
-        // shutdown (or selector failure): flush responses that already
-        // completed, then drop every connection — inflight handles cancel
-        // in the pipeline, parked requests go unanswered (the peer sees
-        // the close)
-        for (_, mut conn) in conns.drain() {
-            let _ = flush(&mut conn);
+        flush_and_close(conns, &self.done_rx);
+    }
+}
+
+/// Shutdown (or selector failure): encodes every response whose request
+/// settled before the loop stopped — including those whose completion
+/// notice is still queued — gives each connection one last write, then
+/// drops every connection. Inflight handles cancel in the pipeline, and
+/// parked requests go unanswered (the peer sees the close).
+fn flush_and_close(mut conns: HashMap<usize, Conn>, done_rx: &Receiver<(usize, u64)>) {
+    while let Ok((key, seq)) = done_rx.try_recv() {
+        if let Some(conn) = conns.get_mut(&key) {
+            complete(conn, seq);
         }
     }
+    for (_, mut conn) in conns.drain() {
+        // a stale `WouldBlock` must not skip the last write; a fresh one
+        // just leaves the rest unsent, as the socket is closing anyway
+        conn.write_blocked = false;
+        let _ = flush(&mut conn);
+    }
+}
+
+/// Spawns one edge thread named `name`; Linux keeps the first 15 bytes in
+/// `comm`, so every name keeps the `cdl-edge` prefix there. The thread
+/// drops `started` on entry, by which point std has applied the name.
+fn spawn_edge_thread(
+    name: String,
+    started: Sender<()>,
+    body: impl FnOnce() + Send + 'static,
+) -> io::Result<JoinHandle<()>> {
+    std::thread::Builder::new().name(name).spawn(move || {
+        drop(started);
+        body();
+    })
+}
+
+/// Readies an accepted socket for a poller: nonblocking for the event
+/// loop, and `TCP_NODELAY` so a reply leaves on the write that carries it
+/// instead of waiting behind the peer's delayed ACK.
+fn prepare_accepted(stream: &TcpStream) -> io::Result<()> {
+    stream.set_nonblocking(true)?;
+    stream.set_nodelay(true)
 }
 
 /// Event-loop TCP front door over a [`Router`]: accepts connections and
@@ -1043,9 +1086,19 @@ impl TcpServer {
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let mut pollers = Vec::with_capacity(config.pollers);
-        for _ in 0..config.pollers {
+        // built up in place so that an error part-way through drops it,
+        // and its `Drop` stops and joins the threads spawned so far
+        let mut server = TcpServer {
+            local_addr,
+            stop: Arc::new(AtomicBool::new(false)),
+            accept: None,
+            pollers: Vec::with_capacity(config.pollers),
+        };
+        // every edge thread holds a clone of `started` and drops it once
+        // running; nothing is ever sent, so the receive below returns when
+        // the last clone is gone
+        let (started, all_started) = mpsc::channel::<()>();
+        for i in 0..config.pollers {
             let poll = Poll::new()?;
             let waker = Arc::new(Waker::new(&poll, WAKER_TOKEN)?);
             let parked = Arc::new(AtomicBool::new(false));
@@ -1068,28 +1121,32 @@ impl TcpServer {
                 poll,
                 waker: Arc::clone(&waker),
                 router: Arc::clone(&router),
-                stop: Arc::clone(&stop),
+                stop: Arc::clone(&server.stop),
                 parked,
                 reg_rx,
                 done_tx,
                 done_rx,
             };
-            let thread = std::thread::spawn(move || poller.run());
-            pollers.push(PollerHandle {
+            let thread =
+                spawn_edge_thread(format!("cdl-edge-poll-{i}"), started.clone(), move || {
+                    poller.run()
+                })?;
+            server.pollers.push(PollerHandle {
                 reg_tx,
                 waker,
                 thread: Some(thread),
             });
         }
         let accept = {
-            let stop = Arc::clone(&stop);
-            let handoff: Vec<(Sender<TcpStream>, Arc<Waker>)> = pollers
+            let stop = Arc::clone(&server.stop);
+            let handoff: Vec<(Sender<TcpStream>, Arc<Waker>)> = server
+                .pollers
                 .iter()
                 .map(|p| (p.reg_tx.clone(), Arc::clone(&p.waker)))
                 .collect();
             let mut backoff =
                 AcceptBackoff::new(config.accept_backoff_initial, config.accept_backoff_max);
-            std::thread::spawn(move || {
+            let accept_loop = move || {
                 let mut next = 0usize;
                 loop {
                     let (stream, _) = match listener.accept() {
@@ -1125,14 +1182,13 @@ impl TcpServer {
                         let _ = waker.wake();
                     }
                 }
-            })
+            };
+            spawn_edge_thread("cdl-edge-accept".into(), started, accept_loop)?
         };
-        Ok(TcpServer {
-            local_addr,
-            stop,
-            accept: Some(accept),
-            pollers,
-        })
+        server.accept = Some(accept);
+        // return with every edge thread running under its name
+        let _ = all_started.recv();
+        Ok(server)
     }
 
     /// The bound address — the port to hand to [`TcpClient::connect`]
@@ -1196,6 +1252,9 @@ impl TcpClient {
     /// Propagates the connect failure.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<TcpClient> {
         let stream = TcpStream::connect(addr)?;
+        // each submit is one small write; Nagle would hold it until the
+        // server's delayed ACK
+        stream.set_nodelay(true)?;
         let read_half = stream.try_clone()?;
         Ok(TcpClient {
             reader: BufReader::new(read_half),
@@ -1348,6 +1407,67 @@ mod tests {
             stages_activated: 2,
             exited_early: true,
         }
+    }
+
+    /// A connected loopback pair: (client end, accepted end).
+    fn loopback_pair() -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        (client, accepted)
+    }
+
+    /// Nagle is off on the client's socket (both halves share it), so a
+    /// submitted frame leaves on its flush.
+    #[test]
+    fn client_socket_has_nodelay() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpClient::connect(listener.local_addr().unwrap()).unwrap();
+        assert!(client.writer.get_ref().nodelay().unwrap());
+        assert!(client.reader.get_ref().nodelay().unwrap());
+    }
+
+    /// The poller's socket set-up turns Nagle off and makes the socket
+    /// nonblocking.
+    #[test]
+    fn accepted_socket_setup_sets_nodelay_and_nonblocking() {
+        let (_client, mut accepted) = loopback_pair();
+        prepare_accepted(&accepted).unwrap();
+        assert!(accepted.nodelay().unwrap());
+        // nothing was sent, so a read must not block
+        let err = accepted.read(&mut [0u8; 1]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
+    }
+
+    /// Regression: shutdown dropped replies that had already completed.
+    /// It left notices queued in the completion channel unencoded, and
+    /// skipped the final write on a connection still marked
+    /// `write_blocked`. Here the request settles (its notice queued) on a
+    /// connection whose last write blocked; the closing flush must still
+    /// put the reply on the wire before the close.
+    #[test]
+    fn shutdown_flushes_settled_replies_on_a_write_blocked_connection() {
+        let (mut client, accepted) = loopback_pair();
+        prepare_accepted(&accepted).unwrap();
+        let mut conn = Conn::new(accepted);
+        conn.write_blocked = true;
+        let (done_tx, done_rx) = mpsc::channel();
+        let (pending, fulfiller) = crate::pending::pending_pair(None);
+        pending.set_waker(move || {
+            let _ = done_tx.send((1, 0));
+        });
+        conn.inflight.insert(0, (42, pending));
+        fulfiller.settle(Ok(output_fixture()));
+        flush_and_close(HashMap::from([(1, conn)]), &done_rx);
+
+        let mut header = [0u8; 4];
+        client.read_exact(&mut header).unwrap();
+        let mut body = vec![0u8; u32::from_be_bytes(header) as usize];
+        client.read_exact(&mut body).unwrap();
+        let (id, result) = decode_response(&body).unwrap();
+        assert_eq!(id, 42);
+        assert_eq!(result.unwrap(), output_fixture());
+        assert_eq!(client.read(&mut [0u8; 1]).unwrap(), 0, "then the close");
     }
 
     fn one_frame(buf: &[u8]) -> &[u8] {

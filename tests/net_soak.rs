@@ -2,14 +2,18 @@
 //! churn, and shutdown-under-load.
 //!
 //! The edge's scaling claim is structural — threads are O(pollers), not
-//! O(connections) — so these tests pin it with the OS's own ledger
-//! (`/proc/self/status` `Threads:`): 256 idle connections add **zero**
-//! threads beyond the fixed pool, and a connect/serve/disconnect churn
-//! loop leaves the count exactly where it started (regression for the old
-//! edge, which spawned reader+writer threads per connection and parked
-//! their join handles in a vec that only drained at shutdown). Shutdown
-//! with pipelined requests still in flight must return promptly, cancel
-//! the orphaned work, and leave the router's bookkeeping consistent.
+//! O(connections) — so these tests pin it with the OS's own ledger: the
+//! edge names its threads `cdl-edge-*`, and the tests count the entries
+//! of `/proc/self/task/*/comm` with that prefix, so threads of the router
+//! or of the test harness never enter the count. The edge runs exactly
+//! pollers + 1 threads however many connections are open: 256 idle
+//! connections add none, and a connect/serve/disconnect churn loop
+//! leaves the count where it started (regression for the old edge, which
+//! spawned reader+writer threads per connection and parked their join
+//! handles in a vec that only drained at shutdown). Shutdown with
+//! pipelined requests still in flight must return promptly, cancel the
+//! orphaned work, join every edge thread, and leave the router's
+//! bookkeeping consistent.
 
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
@@ -24,9 +28,8 @@ use cdl::serve::{
 };
 use cdl::tensor::Tensor;
 
-/// Thread-count assertions can't tolerate another test on this binary
-/// spawning servers concurrently: every test in this file serialises on
-/// one lock and measures its baseline inside it.
+/// Edge-thread counts can't tolerate another test on this binary binding
+/// an edge concurrently: every test in this file serialises on one lock.
 fn serial() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     LOCK.get_or_init(|| Mutex::new(()))
@@ -34,16 +37,15 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
+/// Live threads of this process whose name starts with `cdl-edge`: the
+/// edge's accept thread and its pollers.
 #[cfg(target_os = "linux")]
-fn thread_count() -> usize {
-    std::fs::read_to_string("/proc/self/status")
+fn edge_threads() -> usize {
+    std::fs::read_dir("/proc/self/task")
         .unwrap()
-        .lines()
-        .find_map(|line| line.strip_prefix("Threads:"))
-        .expect("/proc/self/status lists Threads:")
-        .trim()
-        .parse()
-        .unwrap()
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .filter(|comm| comm.starts_with("cdl-edge"))
+        .count()
 }
 
 fn build_untrained(arch: CdlArchitecture, seed: u64) -> Arc<CdlNetwork> {
@@ -69,9 +71,10 @@ fn image(i: usize) -> Tensor {
 }
 
 /// 256 idle connections on a 2-poller edge cost buffers, not threads:
-/// the process thread count after opening all of them equals the count
-/// right after bind, and sampled connections still serve correctly
-/// (every poller's event loop is live, not just the first).
+/// the edge runs 3 threads (2 pollers + accept) right after bind and
+/// still 3 with every connection open, and sampled connections still
+/// serve correctly (every poller's event loop is live, not just the
+/// first).
 #[cfg(target_os = "linux")]
 #[test]
 fn idle_connections_cost_pollers_not_threads() {
@@ -88,7 +91,7 @@ fn idle_connections_cost_pollers_not_threads() {
         },
     )
     .unwrap();
-    let with_edge = thread_count();
+    assert_eq!(edge_threads(), 3, "2 pollers + the accept thread");
 
     let mut clients: Vec<TcpClient> = (0..256)
         .map(|_| TcpClient::connect(edge.local_addr()).unwrap())
@@ -104,8 +107,8 @@ fn idle_connections_cost_pollers_not_threads() {
         served += 1;
     }
     assert_eq!(
-        thread_count(),
-        with_edge,
+        edge_threads(),
+        3,
         "idle connections must not spawn threads (O(pollers) edge)"
     );
 
@@ -117,11 +120,11 @@ fn idle_connections_cost_pollers_not_threads() {
 }
 
 /// Connect/serve/disconnect churn neither leaks threads nor join-handle
-/// state: the thread count after 60 full client lifetimes equals the
-/// post-bind baseline. (Regression: the old edge pushed two JoinHandles
-/// per connection into `TcpServer.connections` and never drained it
-/// until shutdown — a long-lived server leaked a vec entry and two
-/// parked threads per past connection.)
+/// state: after 60 full client lifetimes the edge still runs exactly its
+/// 2 threads (1 poller + accept). (Regression: the old edge pushed two
+/// JoinHandles per connection into `TcpServer.connections` and never
+/// drained it until shutdown — a long-lived server leaked a vec entry and
+/// two parked threads per past connection.)
 #[cfg(target_os = "linux")]
 #[test]
 fn connection_churn_leaves_no_threads_behind() {
@@ -138,7 +141,7 @@ fn connection_churn_leaves_no_threads_behind() {
         },
     )
     .unwrap();
-    let baseline = thread_count();
+    assert_eq!(edge_threads(), 2, "1 poller + the accept thread");
 
     for i in 0..60 {
         let mut client = TcpClient::connect(edge.local_addr()).unwrap();
@@ -148,11 +151,7 @@ fn connection_churn_leaves_no_threads_behind() {
         assert!(result.is_ok(), "churn iteration {i} failed: {result:?}");
         drop(client);
     }
-    assert_eq!(
-        thread_count(),
-        baseline,
-        "connection churn must not leak threads"
-    );
+    assert_eq!(edge_threads(), 2, "connection churn must not leak threads");
 
     edge.shutdown();
     let metrics = Arc::try_unwrap(router).unwrap().shutdown();
@@ -164,7 +163,7 @@ fn connection_churn_leaves_no_threads_behind() {
 /// Shutting the edge down with pipelined requests still in flight
 /// returns promptly (pollers drop their connections instead of waiting
 /// the stalled work out), cancels exactly the orphaned requests, and —
-/// on Linux — returns the process to its pre-bind thread count.
+/// on Linux — joins every edge thread.
 #[test]
 fn shutdown_under_load_cancels_inflight_and_joins_the_pool() {
     let _guard = serial();
@@ -184,8 +183,6 @@ fn shutdown_under_load_cancels_inflight_and_joins_the_pool() {
         )])
         .unwrap(),
     );
-    #[cfg(target_os = "linux")]
-    let before_edge = thread_count();
     let edge = TcpServer::bind_with(
         "127.0.0.1:0",
         Arc::clone(&router),
@@ -195,6 +192,8 @@ fn shutdown_under_load_cancels_inflight_and_joins_the_pool() {
         },
     )
     .unwrap();
+    #[cfg(target_os = "linux")]
+    assert_eq!(edge_threads(), 3, "2 pollers + the accept thread");
 
     let mut clients: Vec<TcpClient> = (0..2)
         .map(|_| TcpClient::connect(edge.local_addr()).unwrap())
@@ -219,8 +218,8 @@ fn shutdown_under_load_cancels_inflight_and_joins_the_pool() {
     edge.shutdown();
     #[cfg(target_os = "linux")]
     assert_eq!(
-        thread_count(),
-        before_edge,
+        edge_threads(),
+        0,
         "shutdown must join the accept thread and every poller"
     );
     drop(clients);
